@@ -588,9 +588,9 @@ let batch_exec () =
   section "BATCH"
     "Vectorized (batched) interpreter vs scalar tuple-at-a-time (answers cross-checked)";
   Format.printf
-    "scalar = tuple-at-a-time interpretation of the same compiled plans@.";
+    "scalar = the tuple-at-a-time twin of the same compiled plans@.";
   Format.printf
-    "(WDPT_ENGINE_BATCH=0); batched = columnar slot arrays over morsel@.";
+    "(Engine.set_batched false); batched = columnar slot arrays over morsel@.";
   Format.printf
     "groups with a survivor bitmask and index probes grouped by key.@.";
   Format.printf
@@ -715,11 +715,11 @@ let batch_exec () =
 
 let audit_overhead () =
   section "AUDIT"
-    "Plan_audit is O(plan size), not O(data); checked execution overhead vs fast path";
+    "Plan_audit is O(plan size), not O(data); checked execution overhead vs unchecked";
   Format.printf
     "audit must stay flat as |D| grows (it reads per-atom summaries only);@.";
   Format.printf
-    "checked enumeration re-verifies every instruction and solution.@.";
+    "checked enumeration replays every batch on the scalar twin and re-verifies every solution.@.";
   print_row "  %8s  %12s  %14s  %16s  %9s@." "|D|" "audit(ms)"
     "enum-plain(ms)" "enum-checked(ms)" "overhead";
   let q = Workload.Gen_cq.chain 4 in

@@ -21,7 +21,11 @@ let read_file path =
   s
 
 let query_arg =
-  let doc = "The query: either inline {AND,OPT}-SPARQL or a path to a file." in
+  let doc =
+    "The query: either inline {AND,OPT}-SPARQL or a path to a file. A \
+     path-like argument (containing '/' or ending in .wdpt, .sparql or .rq) \
+     that names no file is an error."
+  in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
 
 let relational_arg =
@@ -32,25 +36,37 @@ let relational_arg =
   in
   Arg.(value & flag & info [ "r"; "relational" ] ~doc)
 
+(* The QUERY argument: the contents of the file it names, else the inline
+   query itself. A path-like argument — containing '/' or ending in .wdpt,
+   .sparql or .rq, and no '{' (every inline query has a body in braces,
+   which may itself contain a '/') — that names no file is an error, not a
+   query to parse. *)
+let query_source query =
+  if Sys.file_exists query then Ok (read_file query)
+  else if
+    (not (String.contains query '{'))
+    && (String.contains query '/'
+       || List.exists (Filename.check_suffix query) [ ".wdpt"; ".sparql"; ".rq" ])
+  then Error (query ^ ": no such file")
+  else Ok query
+
 (* load a pattern tree in either front-end syntax *)
 let load_tree ~relational query =
-  let src = if Sys.file_exists query then read_file query else query in
-  if relational then Wdpt.Syntax.parse src
-  else
-    match Rdf.Sparql.parse src with
-    | Error e -> Error ("query: " ^ e)
-    | Ok q ->
-        if Rdf.Sparql.is_well_designed q.Rdf.Sparql.where then
-          Ok (Rdf.Sparql.to_pattern_tree q)
-        else Error "query: pattern is not well-designed"
+  Result.bind (query_source query) (fun src ->
+      if relational then Wdpt.Syntax.parse src
+      else
+        match Rdf.Sparql.parse src with
+        | Error e -> Error ("query: " ^ e)
+        | Ok q ->
+            if Rdf.Sparql.is_well_designed q.Rdf.Sparql.where then
+              Ok (Rdf.Sparql.to_pattern_tree q)
+            else Error "query: pattern is not well-designed")
 
 let load_db ~relational path =
   let doc = read_file path in
-  if relational then Wdpt.Syntax.parse_database doc
-  else
-    match Rdf.Graph.of_string doc with
-    | Error e -> Error ("data: " ^ e)
-    | Ok g -> Ok (Rdf.Graph.database g)
+  Result.map_error (fun e -> path ^ ": " ^ e)
+    (if relational then Wdpt.Syntax.parse_database doc
+     else Result.map Rdf.Graph.database (Rdf.Graph.of_string doc))
 
 let data_arg =
   let doc = "Triple data file (one 's p o' triple per line)." in
@@ -539,8 +555,7 @@ let optimize_cmd =
 
 let union_cmd =
   let run query k data =
-    let src = if Sys.file_exists query then read_file query else query in
-    let u = or_die (Wdpt.Syntax.parse_union src) in
+    let u = or_die (Result.bind (query_source query) Wdpt.Syntax.parse_union) in
     Format.printf "union of %d WDPT(s)@." (List.length u);
     Format.printf "in M(UWB(%d)) [Theorem 17]: %b@." k
       (Wdpt.Union.in_m_uwb ~width:Tw ~k u);
@@ -573,11 +588,16 @@ let union_cmd =
              Query syntax: pattern-tree disjuncts separated by UNION.")
     Term.(const run $ query_arg $ k_arg $ data_opt)
 
-(* lint and check share the analyzer front end *)
+(* lint, check and explain share the analyzer front end; a missing query
+   file exits with 2, the code of an error finding, before any analysis *)
 let lint_source ~relational query =
-  let src = if Sys.file_exists query then read_file query else query in
-  if relational then Analysis.Lint.lint_relational src
-  else Analysis.Lint.lint_sparql src
+  match query_source query with
+  | Error e ->
+      prerr_endline e;
+      exit 2
+  | Ok src ->
+      if relational then Analysis.Lint.lint_relational src
+      else Analysis.Lint.lint_sparql src
 
 let json_arg =
   Arg.(value & flag

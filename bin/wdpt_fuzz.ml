@@ -41,12 +41,12 @@
 
    --batch-diff COUNT runs the batched-execution differential (default
    300): on COUNT random instances it evaluates once with the vectorized
-   interpreter off (scalar tuple-at-a-time) and once with it on, at domain
-   pools of 1 and 2 — the answer sets must be identical at both the WDPT
-   and the CQ level (the enumeration orders legitimately differ: the
-   batched pipeline runs atoms in the fixed static order while the scalar
-   path re-selects per node). A small random morsel size forces group
-   boundaries through even tiny draws.
+   interpreter off (its scalar tuple-at-a-time twin) and once with it on,
+   at domain pools of 1 and 2 — the full-tree body's envs must come out
+   identical and in the same order (both interpreters run the one fixed
+   stage order), and the answer sets identical at both the WDPT and the CQ
+   level. A small random morsel size forces group boundaries through even
+   tiny draws.
 
    --drift-diff COUNT runs the adaptive re-planning differential (default
    300): on COUNT random instances it evaluates with adaptation off and
@@ -319,10 +319,11 @@ let check_fault_injection () =
 
 (* ---- batched differential ------------------------------------------------ *)
 
-(* One instance of the --batch-diff mode: identical answer sets with the
-   vectorized interpreter off and on, at pools 1 and 2, under a randomized
-   morsel size so group boundaries land inside even small candidate
-   ranges. *)
+(* One instance of the --batch-diff mode: the vectorized interpreter and
+   its scalar twin enumerate the full-tree body's envs identically, env for
+   env, and give identical answer sets at both semantics levels, at pools 1
+   and 2, under a randomized morsel size so group boundaries land inside
+   even small candidate ranges. *)
 let check_batch_diff st p db =
   let failures = ref [] in
   let fail name = failures := name :: !failures in
@@ -342,12 +343,22 @@ let check_batch_diff st p db =
       f
   in
   let q = Wdpt.Pattern_tree.q_full p in
+  let plan = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
+  let envs () =
+    let out = ref [] in
+    Engine.iter_envs plan (fun env -> out := Array.copy env :: !out);
+    List.rev !out
+  in
+  let scalar_envs = with_config ~batched:false ~domains:1 envs in
   let scalar_wdpt = with_config ~batched:false ~domains:1 (fun () -> Wdpt.Semantics.eval db p) in
   let scalar_cq = with_config ~batched:false ~domains:1 (fun () -> Cq.Eval.answers db q) in
   List.iter
     (fun nd ->
       let tag s = Printf.sprintf "%s@%d-domains-morsel-%d" s nd morsel in
+      with_config ~batched:false ~domains:nd (fun () ->
+          if envs () <> scalar_envs then fail (tag "envs-scalar-order"));
       with_config ~batched:true ~domains:nd (fun () ->
+          if envs () <> scalar_envs then fail (tag "envs-batched-vs-scalar-order");
           if not (Mapping.Set.equal (Wdpt.Semantics.eval db p) scalar_wdpt)
           then fail (tag "wdpt-eval-batched-vs-scalar");
           if not (Mapping.Set.equal (Cq.Eval.answers db q) scalar_cq) then

@@ -330,9 +330,8 @@ let pp_batch ppf (b : I.batch_view) =
   begin
     if not b.I.b_enabled then
       Format.fprintf ppf
-        "batch: off — scalar tuple-at-a-time interpreter \
-         (WDPT_ENGINE_BATCH=0); would-be geometry: %d-row morsel group(s), \
-         %d group(s) at the top level@,"
+        "batch: off — scalar tuple-at-a-time twin (--degrade); would-be \
+         geometry: %d-row morsel group(s), %d group(s) at the top level@,"
         b.I.b_morsel_rows b.I.b_groups
     else
       Format.fprintf ppf

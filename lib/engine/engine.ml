@@ -8,15 +8,29 @@
    immutable int-array tuples, variables as slots of a flat int-array
    environment, atoms as per-position check/slot instructions — and then runs
    a tight matching loop that allocates nothing on the happy path. Candidate
-   ranking reads stored counts from the compiled (rel, pos, value) index, so
-   the dynamic fewest-candidates atom order of the old evaluator is preserved
-   at O(arity) per remaining atom instead of a list materialization.
+   selection reads stored counts from the compiled (rel, pos, value) index:
+   O(arity) per atom instead of a list materialization.
 
    Mappings cross the boundary exactly twice: once at compile time (init and
    constants are interned) and once per reported solution (slots are read
    back into a Mapping.t). Everything in between is int-on-int. *)
 
 open Relational
+
+(* checked execution (sanitizer mode): declared ahead of the compiled store,
+   which validates every row it stores while the flag is on *)
+exception Check_failure of string
+
+let check_fail fmt = Format.kasprintf (fun s -> raise (Check_failure s)) fmt
+
+let checked =
+  Atomic.make
+    (match Sys.getenv_opt "WDPT_ENGINE_CHECKED" with
+    | Some ("1" | "true" | "yes") -> true
+    | _ -> false)
+
+let set_checked b = Atomic.set checked b
+let checked_enabled () = Atomic.get checked
 
 (* ------------------------------------------------------------------ *)
 (* Compiled databases                                                   *)
@@ -90,7 +104,27 @@ module Db = struct
       dcounts = Array.make arity 0;
       ranges = Array.make arity (0, -1) }
 
-  let push_fact c f =
+  (* the checked-mode invariants of one stored row, verified once when the
+     row is stored rather than on every probe: the tuple is as wide as its
+     relation (so as wide as every instruction sequence sanitize_static
+     admits over it), and every index cell listing it stays within its
+     capacity *)
+  let check_row r row =
+    let t = r.tuples.(row) in
+    if Array.length t <> r.arity then
+      check_fail "%s row %d: stored tuple width %d, arity %d" r.name row
+        (Array.length t) r.arity;
+    Array.iteri
+      (fun pos v ->
+        match Hashtbl.find_opt r.index.(pos) v with
+        | None -> check_fail "%s row %d: pos %d not indexed" r.name row pos
+        | Some cell ->
+            if cell.count > Array.length cell.rows then
+              check_fail "index cell of %s pos %d: count %d, capacity %d"
+                r.name pos cell.count (Array.length cell.rows))
+      t
+
+  let push_fact ~check c f =
     let name = Fact.rel f and arity = Fact.arity f in
     let r =
       match find_rel c name arity with
@@ -119,7 +153,8 @@ module Db = struct
             let lo, hi = r.ranges.(pos) in
             r.ranges.(pos) <-
               (if hi < lo then (v, v) else (min lo v, max hi v))))
-      t
+      t;
+    if check then check_row r row
 
   (* Catch the compiled form up to the live database: intern and append
      exactly the facts added since [c.db_version] (the insertion log), in
@@ -130,7 +165,8 @@ module Db = struct
   let extend c db =
     let live = Database.version db in
     if c.db_version < live then begin
-      List.iter (push_fact c) (Database.facts_since db c.db_version);
+      let check = Atomic.get checked in
+      List.iter (push_fact ~check c) (Database.facts_since db c.db_version);
       c.db_version <- live;
       c.plans <- No_plans
     end
@@ -371,11 +407,11 @@ let build_core cdb atom_list =
     if !feasible then Array.of_list (List.map Option.get atoms) else [||]
   in
   (* static atom order: ground atoms first, then ascending selectivity score
-     (stable). The runtime selection is still dynamic (fewest candidates
-     under the current env); this only fixes the initial arrangement and
-     tie-breaking, and gives the plan a statically auditable order
-     invariant — richer than raw row counts because Check instructions
-     discount by the distinct count of their position. *)
+     (stable). The interpreters start from the atom with the fewest
+     candidates and then follow the fixed stage order ([fixed_order]); the
+     static order breaks their ties, and gives the plan a statically
+     auditable order invariant — richer than raw row counts because Check
+     instructions discount by the distinct count of their position. *)
   let order =
     let key i = atom_key atoms.(i) in
     Array.of_list
@@ -558,8 +594,8 @@ let ground_witness_row (ap : atom_plan) =
    kept atom constrains nothing new; an all-Check atom satisfied by some
    stored row (the certificate names the witness row) is always satisfied.
    Unmatched ground atoms are deliberately left in place: proving emptiness
-   is O(data), and the dynamic selection already kills such enumerations at
-   the first node. *)
+   is O(data), and the fixed stage order probes ground atoms right after the
+   top-level atom, so such enumerations die at the first nodes. *)
 let pass_dead_instruction (p : t) =
   let n = Array.length p.atoms in
   let atom_map = Array.make n (-1) in
@@ -878,17 +914,16 @@ let value_of p id = Interner.get p.cdb.Db.pool id
 let slot_of p x = Interner.find p.vars x
 
 (* ------------------------------------------------------------------ *)
-(* The matching loop                                                    *)
+(* The top-level choice                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The first dynamic atom selection of an enumeration, replicated outside the
-   matching loop so the parallel partitioner can slice its candidate row
+(* The first atom of an enumeration and its candidate rows, chosen outside
+   the interpreters so the parallel partitioner can slice its candidate row
    sequence: at the top level the environment is exactly [init_env], so the
-   selection — smallest stored count among bound positions of each atom in
-   [order], strict first-wins minimum — is a pure function of the plan.
-   Chunked runs that enumerate contiguous slices of this row sequence and
-   concatenate in slice order reproduce the sequential enumeration order
-   exactly. *)
+   selection — the atom in [order] with the fewest candidates, strict
+   first-wins minimum — is a pure function of the plan. Chunked runs that
+   enumerate contiguous slices of this row sequence and concatenate in
+   slice order reproduce the sequential enumeration order exactly. *)
 type first_choice = {
   fc_pos : int;          (* position of the chosen atom inside [order] *)
   fc_rows : int array;   (* candidate row indices (live prefix [fc_count]) *)
@@ -896,47 +931,61 @@ type first_choice = {
   fc_count : int;        (* number of top-level candidates *)
 }
 
+(* Candidate rows of one atom under [env]: the smallest index cell among its
+   bound positions (a constant or an already-bound slot), strict first-wins
+   minimum, or a scan of the whole relation when no position is bound. A
+   bound value without a cell leaves no candidates. Shared by the top-level
+   choice and the scalar interpreter; results land in a reusable record so
+   the per-node selection allocates nothing. *)
+type cands = {
+  mutable cd_count : int;
+  mutable cd_rows : int array;
+  mutable cd_scan : bool;
+}
+
+let fresh_cands () = { cd_count = 0; cd_rows = [||]; cd_scan = false }
+
+let candidates cd ap env =
+  let r = ap.a_rel in
+  cd.cd_count <- r.Db.nrows;
+  cd.cd_rows <- [||];
+  cd.cd_scan <- true;
+  let ops = ap.a_ops in
+  for pos = 0 to Array.length ops - 1 do
+    let bound = match ops.(pos) with Check id -> id | Slot s -> env.(s) in
+    if bound >= 0 then
+      match Hashtbl.find_opt r.Db.index.(pos) bound with
+      | Some cell ->
+          if cd.cd_scan || cell.Db.count < cd.cd_count then begin
+            cd.cd_count <- cell.Db.count;
+            cd.cd_rows <- cell.Db.rows;
+            cd.cd_scan <- false
+          end
+      | None ->
+          cd.cd_count <- 0;
+          cd.cd_rows <- [||];
+          cd.cd_scan <- false
+  done
+
 let select_first p =
   let n = Array.length p.atoms in
   if not p.feasible || n = 0 then None
   else begin
-    let env = p.init_env in
-    let best_pos = ref 0 and best_cost = ref 0 in
-    let best_rows = ref [||] and best_scan = ref false in
+    let cd = fresh_cands () in
+    let best = ref None in
     for j = 0 to n - 1 do
-      let ap = p.atoms.(p.order.(j)) in
-      let r = ap.a_rel in
-      let cost = ref r.Db.nrows and rows = ref [||] and scan = ref true in
-      let ops = ap.a_ops in
-      for pos = 0 to Array.length ops - 1 do
-        let bound =
-          match ops.(pos) with Check id -> id | Slot s -> env.(s)
-        in
-        if bound >= 0 then
-          match Hashtbl.find_opt r.Db.index.(pos) bound with
-          | Some cell ->
-              if !scan || cell.Db.count < !cost then begin
-                cost := cell.Db.count;
-                rows := cell.Db.rows;
-                scan := false
-              end
-          | None ->
-              cost := 0;
-              rows := [||];
-              scan := false
-      done;
-      if j = 0 || !cost < !best_cost then begin
-        best_pos := j;
-        best_cost := !cost;
-        best_rows := !rows;
-        best_scan := !scan
-      end
+      candidates cd p.atoms.(p.order.(j)) p.init_env;
+      match !best with
+      | Some fc when fc.fc_count <= cd.cd_count -> ()
+      | _ ->
+          best :=
+            Some
+              { fc_pos = j;
+                fc_rows = cd.cd_rows;
+                fc_scan = cd.cd_scan;
+                fc_count = cd.cd_count }
     done;
-    Some
-      { fc_pos = !best_pos;
-        fc_rows = !best_rows;
-        fc_scan = !best_scan;
-        fc_count = !best_cost }
+    !best
   end
 
 let no_cancel () = false
@@ -959,178 +1008,6 @@ let fb_commit p fc fb =
     match replan p with
     | None -> ()
     | Some (_, cert) -> store_adapt p cert
-
-(* [iter_envs_fast_slice p fc ~lo ~hi ~cancel f]: the matching loop, restricted
-   to candidates [lo, hi) of the top-level choice [fc]. [cancel] is polled
-   between top-level candidates (a peer found a witness). The full sequential
-   enumeration is the [0, fc_count) slice. *)
-let iter_envs_fast_slice p fc ~lo ~hi ~cancel ~fb f =
-  if p.feasible && Array.length p.atoms > 0 then begin
-    let env = Array.copy p.init_env in
-    let n = Array.length p.atoms in
-    let fb_c = fb.fb_contexts
-    and fb_p = fb.fb_probed
-    and fb_s = fb.fb_survived in
-    begin
-      let remaining = Array.copy p.order in
-      (* a slot is written at most once per search path, so one trail of
-         [nslots] entries serves the whole recursion *)
-      let trail = Array.make (Array.length env) 0 in
-      let sp = ref 0 in
-      let undo_to mark =
-        while !sp > mark do
-          decr sp;
-          env.(trail.(!sp)) <- -1
-        done
-      in
-      (* returns false with the trail already unwound on mismatch; on success
-         the caller undoes to its own pre-call mark after recursing *)
-      let match_tuple ops (t : Tuple.t) =
-        let mark = !sp in
-        let len = Array.length ops in
-        let rec go i =
-          if i >= len then true
-          else
-            let arg = t.(i) in
-            match ops.(i) with
-            | Check id -> if arg = id then go (i + 1) else false
-            | Slot s ->
-                let v = env.(s) in
-                if v < 0 then begin
-                  env.(s) <- arg;
-                  trail.(!sp) <- s;
-                  incr sp;
-                  go (i + 1)
-                end
-                else if v = arg then go (i + 1)
-                else false
-        in
-        if go 0 then true
-        else begin
-          undo_to mark;
-          false
-        end
-      in
-      (* estimated candidate count of an atom under the current env: the
-         smallest stored count among bound positions, defaulting to a scan
-         of the whole relation — exactly the ranking the old evaluator
-         computed by materializing and length-comparing candidate lists.
-         Results land in the three refs below so the selection loop in
-         [go] allocates nothing. *)
-      let est_cost = ref 0 and est_rows = ref [||] and est_scan = ref false in
-      let estimate ap =
-        let r = ap.a_rel in
-        est_cost := r.Db.nrows;
-        est_rows := [||];
-        est_scan := true;
-        let ops = ap.a_ops in
-        for pos = 0 to Array.length ops - 1 do
-          let bound =
-            match ops.(pos) with
-            | Check id -> id
-            | Slot s -> env.(s)
-          in
-          if bound >= 0 then
-            match Hashtbl.find_opt r.Db.index.(pos) bound with
-            | Some cell ->
-                if !est_scan || cell.Db.count < !est_cost then begin
-                  est_cost := cell.Db.count;
-                  est_rows := cell.Db.rows;
-                  est_scan := false
-                end
-            | None -> begin
-                est_cost := 0;
-                est_rows := [||];
-                est_scan := false
-              end
-        done
-      in
-      let rec go k =
-        if k = 0 then f env
-        else begin
-          estimate p.atoms.(remaining.(0));
-          let bi = ref 0 and bcost = ref !est_cost in
-          let brows = ref !est_rows and bscan = ref !est_scan in
-          for j = 1 to k - 1 do
-            estimate p.atoms.(remaining.(j));
-            if !est_cost < !bcost then begin
-              bi := j;
-              bcost := !est_cost;
-              brows := !est_rows;
-              bscan := !est_scan
-            end
-          done;
-          let slot_j = !bi in
-          let ai = remaining.(slot_j) in
-          remaining.(slot_j) <- remaining.(k - 1);
-          remaining.(k - 1) <- ai;
-          let ap = p.atoms.(ai) in
-          let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
-          fb_c.(ai) <- fb_c.(ai) + 1;
-          fb_p.(ai) <- fb_p.(ai) + !bcost;
-          if !bscan then
-            (* candidate counts are live prefixes: bcost rows, not capacity *)
-            for ti = 0 to !bcost - 1 do
-              let mark = !sp in
-              if match_tuple ops tuples.(ti) then begin
-                fb_s.(ai) <- fb_s.(ai) + 1;
-                go (k - 1);
-                undo_to mark
-              end
-            done
-          else begin
-            let rows = !brows in
-            for ri = 0 to !bcost - 1 do
-              let mark = !sp in
-              if match_tuple ops tuples.(rows.(ri)) then begin
-                fb_s.(ai) <- fb_s.(ai) + 1;
-                go (k - 1);
-                undo_to mark
-              end
-            done
-          end;
-          remaining.(k - 1) <- remaining.(slot_j);
-          remaining.(slot_j) <- ai
-        end
-      in
-      (* top level: the pre-computed first choice, restricted to [lo, hi) —
-         identical to what [go n] would have selected and iterated. The top
-         atom's single probe context is credited at commit time (once per
-         run), not here: a chunked region slices this very loop. *)
-      let ai = remaining.(fc.fc_pos) in
-      remaining.(fc.fc_pos) <- remaining.(n - 1);
-      remaining.(n - 1) <- ai;
-      let ap = p.atoms.(ai) in
-      let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
-      let i = ref lo in
-      while !i < hi && not (cancel ()) do
-        let ti = if fc.fc_scan then !i else fc.fc_rows.(!i) in
-        let mark = !sp in
-        fb_p.(ai) <- fb_p.(ai) + 1;
-        if match_tuple ops tuples.(ti) then begin
-          fb_s.(ai) <- fb_s.(ai) + 1;
-          go (n - 1);
-          undo_to mark
-        end;
-        incr i
-      done
-    end
-  end
-
-(* [iter_envs p f] calls [f env] (env borrowed: valid only during the call)
-   for every assignment of the slots consistent with all atoms. *)
-let iter_envs_fast p f =
-  if p.feasible then begin
-    if Array.length p.atoms = 0 then f (Array.copy p.init_env)
-    else
-      match select_first p with
-      | None -> ()
-      | Some fc ->
-          let fb = fb_create (Array.length p.atoms) in
-          iter_envs_fast_slice p fc ~lo:0 ~hi:fc.fc_count ~cancel:no_cancel ~fb
-            f;
-          fb_commit p fc fb
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Batched (vectorized) execution                                       *)
@@ -1160,11 +1037,9 @@ let iter_envs_fast p f =
    columnar footprint; groups are contiguous candidate ranges, so group
    concatenation preserves the order. *)
 
-let batched_flag =
-  Atomic.make
-    (match Sys.getenv_opt "WDPT_ENGINE_BATCH" with
-    | Some ("0" | "false" | "no") -> false
-    | _ -> true)
+(* on by default; [set_batched false] is the low-memory fallback
+   (--max-mem --degrade), which runs the scalar twin below instead *)
+let batched_flag = Atomic.make true
 
 let set_batched b = Atomic.set batched_flag b
 let batched_enabled () = Atomic.get batched_flag
@@ -2003,17 +1878,29 @@ let iter_envs_batched_slice p fc ~lo ~hi ~cancel ~fb f =
      note_max bm_column_words !words)
   end
 
-(* scalar twin of the batched interpreter: the same fixed stage order, one
-   environment at a time. Checked-batched mode replays it per morsel group
-   and compares env for env — matching tuples arrive in increasing
-   stored-row order on both sides, so the two enumerations must coincide
-   exactly. *)
-let iter_envs_fixed_slice p fc ~lo ~hi ~cancel ~fb:_ f =
+(* The scalar interpreter: the batched pipeline's fixed stage order, one
+   environment at a time. It serves every caller that should stop at the
+   first witness ([sat], [first_homomorphism]: a batched pipeline
+   materializes a whole morsel group before its first result), the
+   low-memory fallback ([set_batched false]) and checked mode, which
+   replays each batched morsel group on it and compares env for env —
+   matching tuples arrive in increasing stored-row order on both sides, so
+   the two enumerations coincide exactly. Counters: one context per partial
+   environment an atom is entered under (the top-level atom's single
+   context is credited at commit), one probe per candidate row, one
+   survivor per match. With [~checked] the trail and the environment are
+   validated on exit. *)
+let iter_envs_fixed_slice ~checked p fc ~lo ~hi ~cancel ~fb f =
   if p.feasible && Array.length p.atoms > 0 then begin
+    let fb_c = fb.fb_contexts
+    and fb_p = fb.fb_probed
+    and fb_s = fb.fb_survived in
     let env = Array.copy p.init_env in
     let fc_atom = p.order.(fc.fc_pos) in
     let rest = Array.of_list (List.tl (fixed_order p fc)) in
     let nrest = Array.length rest in
+    (* a slot is written at most once per search path, so one trail of
+       [nslots] entries serves the whole recursion *)
     let trail = Array.make (Array.length env) 0 in
     let sp = ref 0 in
     let undo_to mark =
@@ -2022,6 +1909,8 @@ let iter_envs_fixed_slice p fc ~lo ~hi ~cancel ~fb:_ f =
         env.(trail.(!sp)) <- -1
       done
     in
+    (* returns false with the trail already unwound on mismatch; on success
+       the caller undoes to its own pre-call mark after recursing *)
     let match_tuple ops (t : Tuple.t) =
       let mark = !sp in
       let len = Array.length ops in
@@ -2048,98 +1937,59 @@ let iter_envs_fixed_slice p fc ~lo ~hi ~cancel ~fb:_ f =
         false
       end
     in
+    let cd = fresh_cands () in
     let rec go k =
       if k >= nrest then f env
       else begin
-        let ap = p.atoms.(rest.(k)) in
-        let r = ap.a_rel in
-        let cost = ref r.Db.nrows and rows = ref [||] and scan = ref true in
-        let ops = ap.a_ops in
-        for pos = 0 to Array.length ops - 1 do
-          let bound =
-            match ops.(pos) with Check id -> id | Slot s -> env.(s)
-          in
-          if bound >= 0 then
-            match Hashtbl.find_opt r.Db.index.(pos) bound with
-            | Some cell ->
-                if !scan || cell.Db.count < !cost then begin
-                  cost := cell.Db.count;
-                  rows := cell.Db.rows;
-                  scan := false
-                end
-            | None ->
-                cost := 0;
-                rows := [||];
-                scan := false
-        done;
-        let tuples = r.Db.tuples in
-        if !scan then
-          for ti = 0 to !cost - 1 do
-            let mark = !sp in
-            if match_tuple ops tuples.(ti) then begin
-              go (k + 1);
-              undo_to mark
-            end
-          done
-        else begin
-          let rs = !rows in
-          for ri = 0 to !cost - 1 do
-            let mark = !sp in
-            if match_tuple ops tuples.(rs.(ri)) then begin
-              go (k + 1);
-              undo_to mark
-            end
-          done
-        end
+        let ai = rest.(k) in
+        let ap = p.atoms.(ai) in
+        candidates cd ap env;
+        let n = cd.cd_count and rows = cd.cd_rows and scan = cd.cd_scan in
+        fb_c.(ai) <- fb_c.(ai) + 1;
+        fb_p.(ai) <- fb_p.(ai) + n;
+        let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
+        (* candidate counts are live prefixes: n rows, not capacity *)
+        for ci = 0 to n - 1 do
+          let mark = !sp in
+          if match_tuple ops tuples.(if scan then ci else rows.(ci)) then begin
+            fb_s.(ai) <- fb_s.(ai) + 1;
+            go (k + 1);
+            undo_to mark
+          end
+        done
       end
     in
-    let ap = p.atoms.(fc_atom) in
-    let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
+    let ops = p.atoms.(fc_atom).a_ops
+    and tuples = p.atoms.(fc_atom).a_rel.Db.tuples in
     let i = ref lo in
     while !i < hi && not (cancel ()) do
       let ti = if fc.fc_scan then !i else fc.fc_rows.(!i) in
       let mark = !sp in
+      fb_p.(fc_atom) <- fb_p.(fc_atom) + 1;
       if match_tuple ops tuples.(ti) then begin
+        fb_s.(fc_atom) <- fb_s.(fc_atom) + 1;
         go 0;
         undo_to mark
       end;
       incr i
-    done
-  end
-
-let iter_envs_batched p f =
-  if p.feasible then begin
-    if Array.length p.atoms = 0 then f (Array.copy p.init_env)
-    else
-      match select_first p with
-      | None -> ()
-      | Some fc ->
-          let fb = fb_create (Array.length p.atoms) in
-          iter_envs_batched_slice p fc ~lo:0 ~hi:fc.fc_count ~cancel:no_cancel
-            ~fb f;
-          fb_commit p fc fb
+    done;
+    if checked then begin
+      if !sp <> 0 then check_fail "trail not empty after enumeration";
+      Array.iteri
+        (fun s v ->
+          if v <> p.init_env.(s) then
+            check_fail "environment slot %d not restored after enumeration" s)
+        env
+    end
   end
 
 (* ------------------------------------------------------------------ *)
 (* Checked execution (sanitizer mode)                                   *)
 (* ------------------------------------------------------------------ *)
 
-exception Check_failure of string
-
-let check_fail fmt = Format.kasprintf (fun s -> raise (Check_failure s)) fmt
-
 exception Race_failure of string
 
 let race_fail fmt = Format.kasprintf (fun s -> raise (Race_failure s)) fmt
-
-let checked =
-  Atomic.make
-    (match Sys.getenv_opt "WDPT_ENGINE_CHECKED" with
-    | Some ("1" | "true" | "yes") -> true
-    | _ -> false)
-
-let set_checked b = Atomic.set checked b
-let checked_enabled () = Atomic.get checked
 
 (* static plan invariants, the runtime twin of Analysis.Plan_audit: slots in
    range of the environment (E001), interner ids inside the pool (E002),
@@ -2255,249 +2105,92 @@ let verify_solution p env =
           r.Db.name)
     p.atoms
 
-(* instrumented twin of [iter_envs_fast_slice]: identical instruction
-   selection and enumeration order, with every instruction's effect
-   validated — tuple widths, single-write slot discipline, trail
-   bracketing — and every reported solution re-verified against the stored
-   relations. Each slice validates the static invariants on entry and the
-   trail/environment restoration on exit, so a parallel chunked run performs
-   the full sequential set of checks per chunk. *)
-(* checked slices accept (and ignore) the counter record so the four slice
-   interpreters stay interchangeable in [Parallel.slice_interp]; checked
-   runs deliberately commit no feedback — their replayed double-execution
-   would double-count the genuine run's probes *)
-let iter_envs_checked_slice p fc ~lo ~hi ~cancel ~fb:_ f =
-  sanitize_static p;
-  if p.feasible && Array.length p.atoms > 0 then begin
-    let env = Array.copy p.init_env in
-    let n = Array.length p.atoms in
-    begin
-      let remaining = Array.copy p.order in
-      let trail = Array.make (Array.length env) 0 in
-      let sp = ref 0 in
-      let undo_to mark =
-        while !sp > mark do
-          decr sp;
-          let s = trail.(!sp) in
-          if env.(s) < 0 then
-            check_fail "trail undo of slot %d: slot was not bound" s;
-          env.(s) <- -1
-        done;
-        if !sp <> mark then check_fail "trail not unwound to its mark"
-      in
-      let match_tuple ai ops (t : Tuple.t) =
-        let mark = !sp in
-        let len = Array.length ops in
-        if Array.length t <> len then
-          check_fail "atom %d: stored tuple width %d, %d instruction(s)" ai
-            (Array.length t) len;
-        let rec go i =
-          if i >= len then true
-          else
-            let arg = t.(i) in
-            match ops.(i) with
-            | Check id -> if arg = id then go (i + 1) else false
-            | Slot s ->
-                let v = env.(s) in
-                if v < 0 then begin
-                  if !sp >= Array.length trail then
-                    check_fail "trail overflow writing slot %d" s;
-                  env.(s) <- arg;
-                  trail.(!sp) <- s;
-                  incr sp;
-                  go (i + 1)
-                end
-                else if v = arg then go (i + 1)
-                else false
-        in
-        if go 0 then true
-        else begin
-          undo_to mark;
-          false
-        end
-      in
-      let est_cost = ref 0 and est_rows = ref [||] and est_scan = ref false in
-      let estimate ap =
-        let r = ap.a_rel in
-        est_cost := r.Db.nrows;
-        est_rows := [||];
-        est_scan := true;
-        let ops = ap.a_ops in
-        for pos = 0 to Array.length ops - 1 do
-          let bound =
-            match ops.(pos) with
-            | Check id -> id
-            | Slot s -> env.(s)
-          in
-          if bound >= 0 then
-            match Hashtbl.find_opt r.Db.index.(pos) bound with
-            | Some cell ->
-                if cell.Db.count > Array.length cell.Db.rows then
-                  check_fail "index cell of %s pos %d: count %d, capacity %d"
-                    r.Db.name pos cell.Db.count (Array.length cell.Db.rows);
-                if !est_scan || cell.Db.count < !est_cost then begin
-                  est_cost := cell.Db.count;
-                  est_rows := cell.Db.rows;
-                  est_scan := false
-                end
-            | None -> begin
-                est_cost := 0;
-                est_rows := [||];
-                est_scan := false
-              end
-        done
-      in
-      let rec go k =
-        if k = 0 then begin
-          verify_solution p env;
-          f env
-        end
-        else begin
-          estimate p.atoms.(remaining.(0));
-          let bi = ref 0 and bcost = ref !est_cost in
-          let brows = ref !est_rows and bscan = ref !est_scan in
-          for j = 1 to k - 1 do
-            estimate p.atoms.(remaining.(j));
-            if !est_cost < !bcost then begin
-              bi := j;
-              bcost := !est_cost;
-              brows := !est_rows;
-              bscan := !est_scan
-            end
-          done;
-          let slot_j = !bi in
-          let ai = remaining.(slot_j) in
-          remaining.(slot_j) <- remaining.(k - 1);
-          remaining.(k - 1) <- ai;
-          let ap = p.atoms.(ai) in
-          let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
-          if !bscan then
-            for ti = 0 to !bcost - 1 do
-              let mark = !sp in
-              if match_tuple ai ops tuples.(ti) then begin
-                go (k - 1);
-                undo_to mark
-              end
-            done
-          else begin
-            let rows = !brows in
-            for ri = 0 to !bcost - 1 do
-              let mark = !sp in
-              if match_tuple ai ops tuples.(rows.(ri)) then begin
-                go (k - 1);
-                undo_to mark
-              end
-            done
-          end;
-          remaining.(k - 1) <- remaining.(slot_j);
-          remaining.(slot_j) <- ai
-        end
-      in
-      let ai = remaining.(fc.fc_pos) in
-      remaining.(fc.fc_pos) <- remaining.(n - 1);
-      remaining.(n - 1) <- ai;
-      let ap = p.atoms.(ai) in
-      let ops = ap.a_ops and tuples = ap.a_rel.Db.tuples in
-      let i = ref lo in
-      while !i < hi && not (cancel ()) do
-        let ti = if fc.fc_scan then !i else fc.fc_rows.(!i) in
-        let mark = !sp in
-        if match_tuple ai ops tuples.(ti) then begin
-          go (n - 1);
-          undo_to mark
-        end;
-        incr i
-      done;
-      if !sp <> 0 then check_fail "trail not empty after enumeration";
-      Array.iteri
-        (fun s v ->
-          if v <> p.init_env.(s) then
-            check_fail "environment slot %d not restored after enumeration" s)
-        env
-    end
-  end
-
-let iter_envs_checked p f =
-  if Array.length p.atoms = 0 || not p.feasible then begin
-    sanitize_static p;
-    if p.feasible then f (Array.copy p.init_env)
-  end
-  else
-    match select_first p with
-    | None -> ()
-    | Some fc ->
-        iter_envs_checked_slice p fc ~lo:0 ~hi:fc.fc_count ~cancel:no_cancel
-          ~fb:(fb_create 0) f
-
 (* checked-batched execution: every morsel group's batched effects are
-   validated env-for-env against the scalar fixed-order twin — same fixed
-   stage order, same enumeration order — and every solution is re-verified
-   against the stored relations before the caller sees it. A mismatch in
-   either direction (a dropped or an extra batched solution, or any slot
-   disagreement) is a Check_failure. *)
-let iter_envs_batched_checked_slice p fc ~lo ~hi ~cancel ~fb:_ f =
-  sanitize_static p;
-  if p.feasible && Array.length p.atoms > 0 then begin
-    let group = morsel_rows () in
-    (* scratch record: the checked replay runs the batched pipeline twice
-       over, so its counters are deliberately discarded *)
-    let scratch = fb_create (Array.length p.atoms) in
-    let glo = ref lo in
-    while !glo < hi && not (cancel ()) do
-      let ghi = min hi (!glo + group) in
-      let buf = ref [] in
-      iter_envs_batched_slice p fc ~lo:!glo ~hi:ghi ~cancel:no_cancel
-        ~fb:scratch (fun env -> buf := Array.copy env :: !buf);
-      let batched = Array.of_list (List.rev !buf) in
-      note_max bm_replay_rows (Array.length batched);
-      let k = ref 0 in
-      iter_envs_fixed_slice p fc ~lo:!glo ~hi:ghi ~cancel:no_cancel
-        ~fb:scratch (fun env ->
-          if !k >= Array.length batched then
-            check_fail
-              "batched run dropped solution %d of the scalar fixed-order twin"
-              !k
-          else begin
-            let b = batched.(!k) in
-            Array.iteri
-              (fun s v ->
-                if b.(s) <> v then
-                  check_fail
-                    "batched solution %d differs from the scalar twin at slot \
-                     %d (%d vs %d)"
-                    !k s b.(s) v)
-              env;
-            verify_solution p b;
-            incr k
-          end);
-      if !k <> Array.length batched then
-        check_fail "batched run produced %d extra solution(s) beyond the twin"
-          (Array.length batched - !k);
-      Array.iter f batched;
-      glo := ghi
-    done
-  end
+   validated env-for-env against the scalar twin — same fixed stage order,
+   same enumeration order — and every solution is re-verified against the
+   stored relations before the caller sees it. A mismatch in either
+   direction (a dropped or an extra batched solution, or any slot
+   disagreement) is a Check_failure. The genuine batched run records its
+   counters into [fb]; the twin's replay probes the same rows again, so its
+   counters go to a scratch record. *)
+let iter_envs_batched_checked_slice p fc ~lo ~hi ~cancel ~fb f =
+  let group = morsel_rows () in
+  let scratch = fb_create (Array.length p.atoms) in
+  let glo = ref lo in
+  while !glo < hi && not (cancel ()) do
+    let ghi = min hi (!glo + group) in
+    let buf = ref [] in
+    iter_envs_batched_slice p fc ~lo:!glo ~hi:ghi ~cancel:no_cancel ~fb
+      (fun env -> buf := Array.copy env :: !buf);
+    let batched = Array.of_list (List.rev !buf) in
+    note_max bm_replay_rows (Array.length batched);
+    let k = ref 0 in
+    iter_envs_fixed_slice ~checked:true p fc ~lo:!glo ~hi:ghi ~cancel:no_cancel
+      ~fb:scratch (fun env ->
+        if !k >= Array.length batched then
+          check_fail
+            "batched run dropped solution %d of the scalar fixed-order twin" !k
+        else begin
+          let b = batched.(!k) in
+          Array.iteri
+            (fun s v ->
+              if b.(s) <> v then
+                check_fail
+                  "batched solution %d differs from the scalar twin at slot %d \
+                   (%d vs %d)"
+                  !k s b.(s) v)
+            env;
+          verify_solution p b;
+          incr k
+        end);
+    if !k <> Array.length batched then
+      check_fail "batched run produced %d extra solution(s) beyond the twin"
+        (Array.length batched - !k);
+    Array.iter f batched;
+    glo := ghi
+  done
 
-let iter_envs_batched_checked p f =
-  if Array.length p.atoms = 0 || not p.feasible then begin
+(* The slice interpreter of one enumeration, chosen once from the flags and
+   shared by every chunk of a parallel region, so a concurrent
+   [set_checked]/[set_batched] cannot tear a run into mixed chunks. Checked
+   mode validates the static plan invariants on entry to every slice (a
+   chunked run performs the full sequential set of checks per chunk) and
+   re-verifies every reported solution. *)
+let slice_interp ~batched =
+  if Atomic.get checked then fun p fc ~lo ~hi ~cancel ~fb f ->
     sanitize_static p;
+    if batched then iter_envs_batched_checked_slice p fc ~lo ~hi ~cancel ~fb f
+    else
+      iter_envs_fixed_slice ~checked:true p fc ~lo ~hi ~cancel ~fb (fun env ->
+          verify_solution p env;
+          f env)
+  else if batched then iter_envs_batched_slice
+  else iter_envs_fixed_slice ~checked:false
+
+(* One sequential enumeration on [interp]. The counters are committed when
+   the enumeration completes; a caller that stops early by raising out of
+   [f] (a found witness) commits none. *)
+let run_seq interp p f =
+  if Array.length p.atoms = 0 || not p.feasible then begin
+    if Atomic.get checked then sanitize_static p;
     if p.feasible then f (Array.copy p.init_env)
   end
   else
     match select_first p with
     | None -> ()
     | Some fc ->
-        iter_envs_batched_checked_slice p fc ~lo:0 ~hi:fc.fc_count
-          ~cancel:no_cancel ~fb:(fb_create 0) f
+        let fb = fb_create (Array.length p.atoms) in
+        interp p fc ~lo:0 ~hi:fc.fc_count ~cancel:no_cancel ~fb f;
+        fb_commit p fc fb
 
-(* the sequential dispatch; the public [iter_envs] below additionally
-   partitions across domains when enabled *)
+(* the sequential enumeration under the configured interpreter; the public
+   [iter_envs] below additionally partitions across domains when enabled *)
 let iter_envs_seq p f =
-  match (Atomic.get batched_flag, Atomic.get checked) with
-  | true, true -> iter_envs_batched_checked p f
-  | true, false -> iter_envs_batched p f
-  | false, true -> iter_envs_checked p f
-  | false, false -> iter_envs_fast p f
+  run_seq (slice_interp ~batched:(Atomic.get batched_flag)) p f
+
+(* the sequential enumeration on the scalar twin, whatever the batched flag:
+   same order as [iter_envs_seq], tuple-at-a-time *)
+let iter_envs_scalar p f = run_seq (slice_interp ~batched:false) p f
 
 (* ------------------------------------------------------------------ *)
 (* Domain-parallel enumeration                                          *)
@@ -2744,16 +2437,6 @@ module Parallel = struct
 
   let leave () = Atomic.set in_region false
 
-  (* the slice interpreter is chosen once per region from the batched and
-     checked flags and shared by every worker: a concurrent
-     [set_checked]/[set_batched] cannot tear a run into mixed chunks *)
-  let slice_interp () =
-    match (Atomic.get batched_flag, Atomic.get checked) with
-    | true, true -> iter_envs_batched_checked_slice
-    | true, false -> iter_envs_batched_slice
-    | false, true -> iter_envs_checked_slice
-    | false, false -> iter_envs_fast_slice
-
   (* [iter p f]: every satisfying environment, in an order identical to the
      sequential enumeration. Chunks buffer copies of their solutions; the
      buffers are replayed on the calling domain in chunk order (chunks are
@@ -2764,8 +2447,8 @@ module Parallel = struct
     match enter p with
     | None -> iter_envs_seq p f
     | Some (nd, fc) ->
-        let interp = slice_interp () in
-        let checked_run = Atomic.get checked in
+        let batched = Atomic.get batched_flag in
+        let interp = slice_interp ~batched in
         let nchunks = nchunks_for nd fc.fc_count in
         let bounds = chunk_bounds fc.fc_count nchunks in
         let buffers = Array.make nchunks [] in
@@ -2785,7 +2468,6 @@ module Parallel = struct
           | Some tr -> log_access tr i loc ~write
           | None -> ()
         in
-        let batched = Atomic.get batched_flag in
         Fun.protect ~finally:leave (fun () ->
             run_chunks ?trace ~nd ~nchunks (fun i ->
                 let lo, hi = bounds.(i) in
@@ -2803,11 +2485,9 @@ module Parallel = struct
                   buffers.(j) <- buffers.(j)
                 end);
             Option.iter validate_trace trace);
-        if not checked_run then begin
-          let merged = fb_create (Array.length p.atoms) in
-          Array.iter (fb_add merged) fbs;
-          fb_commit p fc merged
-        end;
+        let merged = fb_create (Array.length p.atoms) in
+        Array.iter (fb_add merged) fbs;
+        fb_commit p fc merged;
         Array.iter (List.iter f) buffers
 
   (* [count p]: per-chunk counts, summed. *)
@@ -2818,8 +2498,8 @@ module Parallel = struct
         iter_envs_seq p (fun _ -> incr n);
         !n
     | Some (nd, fc) ->
-        let interp = slice_interp () in
-        let checked_run = Atomic.get checked in
+        let batched = Atomic.get batched_flag in
+        let interp = slice_interp ~batched in
         let nchunks = nchunks_for nd fc.fc_count in
         let bounds = chunk_bounds fc.fc_count nchunks in
         let counts = Array.make nchunks 0 in
@@ -2835,7 +2515,6 @@ module Parallel = struct
           | Some tr -> log_access tr i loc ~write
           | None -> ()
         in
-        let batched = Atomic.get batched_flag in
         Fun.protect ~finally:leave (fun () ->
             run_chunks ?trace ~nd ~nchunks (fun i ->
                 let lo, hi = bounds.(i) in
@@ -2852,37 +2531,26 @@ module Parallel = struct
                   counts.(j) <- counts.(j)
                 end);
             Option.iter validate_trace trace);
-        if not checked_run then begin
-          let merged = fb_create (Array.length p.atoms) in
-          Array.iter (fb_add merged) fbs;
-          fb_commit p fc merged
-        end;
+        let merged = fb_create (Array.length p.atoms) in
+        Array.iter (fb_add merged) fbs;
+        fb_commit p fc merged;
         Array.fold_left ( + ) 0 counts
 
   exception Hit
 
   (* [sat p]: the first witness on any domain raises the shared atomic flag;
-     peers poll it between top-level candidates and stop early.
-
-     First-match probes stay tuple-at-a-time even in batched mode: a
-     vectorized pipeline materializes a whole morsel group (and builds its
-     probe tables) before its first result, which is exactly wrong for a
-     short-circuit that usually stops within a handful of candidates. *)
-  let sat_interp () =
-    if Atomic.get checked then iter_envs_checked_slice
-    else iter_envs_fast_slice
-
+     peers poll it between top-level candidates and stop early. Runs on
+     the scalar twin in every mode: it stays tuple-at-a-time, so the
+     short-circuit usually stops within a handful of candidates. *)
   let sat p =
     match enter p with
     | None -> (
         try
-          (if Atomic.get checked then iter_envs_checked else iter_envs_fast)
-            p
-            (fun _ -> raise Hit);
+          iter_envs_scalar p (fun _ -> raise Hit);
           false
         with Hit -> true)
     | Some (nd, fc) ->
-        let interp = sat_interp () in
+        let interp = slice_interp ~batched:false in
         let nchunks = nchunks_for nd fc.fc_count in
         let bounds = chunk_bounds fc.fc_count nchunks in
         let found = Atomic.make false in
@@ -3372,13 +3040,14 @@ let homomorphisms db atoms ~init =
 exception Found of Mapping.t
 
 (* first answer = first answer of the sequential enumeration: runs on the
-   sequential path so the exception exits as soon as the witness is found
-   (a parallel region would buffer whole chunks before replaying). *)
+   sequential scalar twin so the exception exits as soon as the witness is
+   found (a parallel region would buffer whole chunks, a batched pipeline a
+   whole morsel group, before replaying). *)
 let first_homomorphism db atoms ~init =
   let p = compile db atoms ~init in
   let table = conversion_table p in
   try
-    iter_envs_seq p (fun env ->
+    iter_envs_scalar p (fun env ->
         raise (Found (mapping_of_env_with p table env)));
     None
   with Found h -> Some h

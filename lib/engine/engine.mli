@@ -177,14 +177,16 @@ val cached_swap : t -> swap_cert option
     choice, then the static order — which makes slot boundness uniform
     across a batch; enumeration order is the depth-first order of that
     fixed-order recursion, identical at every pool size (chunk-order
-    replay), and validated env-for-env against a scalar fixed-order twin
-    in checked mode. Top-level candidates are processed in groups of
+    replay). Top-level candidates are processed in groups of
     {!Parallel.morsel_rows} rows, bounding the columnar footprint.
 
-    [WDPT_ENGINE_BATCH=0] (or {!set_batched}[ false]) falls back to the
-    tuple-at-a-time interpreter with dynamic per-node atom selection; the
-    two modes produce the same answer multiset, though possibly in a
-    different order ([wdpt_fuzz --batch-diff] checks set equality). *)
+    The one other interpreter is its scalar twin: the same fixed stage
+    order, one environment at a time, hence the same enumeration order,
+    env for env ([wdpt_fuzz --batch-diff] checks this). It runs {!sat} and
+    {!first_homomorphism} in every mode (they stop at the first witness),
+    replays every batched morsel group in checked mode, and runs every
+    enumeration after {!set_batched}[ false] — the low-memory fallback
+    [wdpt eval --max-mem N --degrade] selects. *)
 
 val set_batched : bool -> unit
 val batched_enabled : unit -> bool
@@ -466,7 +468,7 @@ module Inspect : sig
     f_atoms : feedback_atom array;  (** empty when infeasible/atomless *)
     f_runs : int;  (** completed (uncancelled) enumerations folded in *)
     f_top : int option;
-        (** the top-level atom the first dynamic selection would choose *)
+        (** the top-level atom the interpreters would start from *)
     f_threshold : float;  (** {!Engine.drift_threshold} in force *)
     f_min_probed : int;  (** {!Engine.drift_min_probed} in force *)
     f_costed_at : int;
@@ -600,15 +602,19 @@ end
 (** {2 Checked execution (sanitizer mode)}
 
     When enabled — [WDPT_ENGINE_CHECKED=1] in the environment, or
-    {!set_checked} — every enumeration runs on an instrumented interpreter
-    that validates the plan invariants statically (the runtime twin of
-    [Analysis.Plan_audit]: slot ranges, interner ids, arity coherence, order,
-    staleness), checks each instruction's effect (tuple widths, single-write
-    slot discipline, trail bracketing, index counts), and re-verifies every
-    reported solution against the stored relations. Same instruction
-    selection and enumeration order as the fast path. *)
+    {!set_checked} — every enumeration validates the plan invariants
+    statically on entry (the runtime twin of [Analysis.Plan_audit]: slot
+    ranges, interner ids, arity coherence, order, staleness), re-verifies
+    every reported solution against the stored relations, and checks on
+    exit from the scalar twin that its trail is empty and its environment
+    restored. A batched enumeration is additionally replayed, morsel group
+    by morsel group, on the scalar twin and compared env for env. The
+    compiled store validates each row as it stores it (tuple width equals
+    the relation's arity, index cell counts within capacity). Answers,
+    their order and the feedback counters are those of the unchecked
+    run. *)
 
-(** Raised by the instrumented interpreter on any invariant violation. *)
+(** Raised by checked execution on any invariant violation. *)
 exception Check_failure of string
 
 val set_checked : bool -> unit

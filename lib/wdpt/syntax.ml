@@ -293,6 +293,8 @@ let parse_fact line = Result.map_error describe_failure (parse_fact_failure line
 
 let parse_database doc =
   let db = Database.create () in
+  (* relation name -> (arity, line that first gave it) *)
+  let arities = Hashtbl.create 16 in
   let rec go n = function
     | [] -> Ok db
     | line :: rest ->
@@ -300,9 +302,19 @@ let parse_database doc =
         if stripped = "" || stripped.[0] = '#' then go (n + 1) rest
         else
           match parse_fact_failure stripped with
-          | Ok f ->
-              Database.add db f;
-              go (n + 1) rest
+          | Ok f -> (
+              let rel = Fact.rel f and arity = Fact.arity f in
+              match Hashtbl.find_opt arities rel with
+              | Some (a, first) when a <> arity ->
+                  Error
+                    (Printf.sprintf
+                       "line %d: relation %s has arity %d, but line %d gave \
+                        it arity %d"
+                       n rel arity first a)
+              | known ->
+                  if known = None then Hashtbl.add arities rel (arity, n);
+                  Database.add db f;
+                  go (n + 1) rest)
           | Error e ->
               (* the fact was tokenized in isolation: re-anchor its position
                  (always line 1) at this line of the document, shifted past

@@ -54,7 +54,8 @@ val parse_union : string -> (Union.t, string) result
 val parse_fact : string -> (Fact.t, string) result
 
 (** Parse a facts document (one fact per line); errors report the line and
-    column of the offending token. *)
+    column of the offending token. A relation used with two arities is
+    rejected at the line of the second one. *)
 val parse_database : string -> (Database.t, string) result
 
 (** [to_string p] prints in the parseable syntax. *)

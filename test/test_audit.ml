@@ -2,7 +2,7 @@
    (Analysis.Cost) and the checked execution mode: every genuine plan audits
    clean, every deliberately corrupted IR view is rejected with the right
    E-code and witness, static bounds dominate measured counts, and the
-   instrumented interpreter agrees with the fast path answer-for-answer. *)
+   checked run agrees with the unchecked one env for env. *)
 
 open Relational
 open Helpers
@@ -228,7 +228,7 @@ let prop_bound_dominates =
       && dominates answers cost.Analysis.Cost.answer_bound
       && answers <= Analysis.Cost.bound_count cost)
 
-(* (c) checked execution agrees with the fast path, env for env *)
+(* (c) checked execution agrees with unchecked execution, env for env *)
 let prop_checked_agrees =
   qtest ~count:200 "checked execution = fast execution (order and content)"
     (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->

@@ -3,9 +3,10 @@
    slices), batch-edge geometry (candidate ranges smaller than a morsel
    group, survivor masks going all-zero mid-instruction, morsel boundaries
    inside OPT branches), paging parity on the batched streamed path, morsel
-   configuration clamping, and qcheck properties pinning batched = scalar
-   answers at both semantics levels and a deterministic batched enumeration
-   order across pool sizes. *)
+   configuration clamping, the low-memory fallback's order, and qcheck
+   properties pinning batched = scalar enumeration order (env for env) and
+   answers at both semantics levels, and a deterministic batched
+   enumeration order across pool sizes. *)
 
 open Relational
 open Helpers
@@ -13,7 +14,7 @@ module P = Engine.Parallel
 module I = Engine.Inspect
 
 (* every test restores the ambient engine configuration, whatever happens
-   (the suite may itself run under WDPT_ENGINE_BATCH / _DOMAINS / _MORSEL) *)
+   (the suite may itself run under WDPT_ENGINE_DOMAINS / _MORSEL) *)
 let with_engine ?batched ?domains ?min_rows ?morsel f =
   let b0 = Engine.batched_enabled () in
   let d0 = P.domains () and m0 = P.min_rows () and g0 = P.morsel_rows () in
@@ -184,44 +185,101 @@ let test_paging_parity () =
 
 (* ---- properties ---------------------------------------------------------- *)
 
+(* The batched interpreter and its scalar twin share one enumeration order:
+   iter_envs agrees env for env across both interpreters at pools 1/2/4 and
+   a random morsel size, and the answer sets agree at both levels. *)
 let prop_batched_cq_agree =
   qtest ~count:100 "batched = scalar CQ answers (pools 1/2/4, small morsels)"
-    (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
-      let scalar =
-        with_engine ~batched:false ~domains:1 (fun () -> Cq.Eval.answers db q)
+    (QCheck.triple arbitrary_cq arbitrary_db (QCheck.int_range 1 8))
+    (fun (q, db, morsel) ->
+      let plan = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
+      let scalar_envs, scalar =
+        with_engine ~batched:false ~domains:1 (fun () ->
+            (envs_of plan, Cq.Eval.answers db q))
       in
       List.for_all
         (fun nd ->
-          with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel:2
-            (fun () -> Mapping.Set.equal (Cq.Eval.answers db q) scalar))
+          with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel (fun () ->
+              envs_of plan = scalar_envs
+              && Mapping.Set.equal (Cq.Eval.answers db q) scalar)
+          && with_engine ~batched:false ~domains:nd ~min_rows:1 ~morsel
+               (fun () -> envs_of plan = scalar_envs))
         [ 1; 2; 4 ])
 
+(* at the tree level the order shows in the maximal homomorphisms, listed
+   in enumeration order *)
 let prop_batched_wdpt_agree =
   qtest ~count:60 "batched = scalar WDPT answers (pools 1/2/4)"
-    (QCheck.pair arbitrary_small_wdpt arbitrary_db) (fun (p, db) ->
-      let scalar =
+    (QCheck.triple arbitrary_small_wdpt arbitrary_db (QCheck.int_range 1 8))
+    (fun (p, db, morsel) ->
+      let scalar_homs, scalar =
         with_engine ~batched:false ~domains:1 (fun () ->
-            Wdpt.Semantics.eval db p)
+            (Wdpt.Semantics.maximal_homomorphisms db p, Wdpt.Semantics.eval db p))
       in
       List.for_all
         (fun nd ->
-          with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel:3
-            (fun () -> Mapping.Set.equal (Wdpt.Semantics.eval db p) scalar))
+          with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel (fun () ->
+              Wdpt.Semantics.maximal_homomorphisms db p = scalar_homs
+              && Mapping.Set.equal (Wdpt.Semantics.eval db p) scalar))
         [ 1; 2; 4 ])
 
 let prop_batched_order_deterministic =
   qtest ~count:100 "batched enumeration order identical at pools 1/2/4"
-    (QCheck.pair arbitrary_cq arbitrary_db) (fun (q, db) ->
+    (QCheck.triple arbitrary_cq arbitrary_db (QCheck.int_range 1 8))
+    (fun (q, db, morsel) ->
       let plan = Engine.compile db (Cq.Query.body q) ~init:Mapping.empty in
       let reference =
-        with_engine ~batched:true ~domains:1 ~min_rows:1 ~morsel:2 (fun () ->
+        with_engine ~batched:true ~domains:1 ~min_rows:1 ~morsel (fun () ->
             envs_of plan)
       in
       List.for_all
         (fun nd ->
-          with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel:2
+          with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel
             (fun () -> envs_of plan = reference && envs_of plan = reference))
         [ 2; 4 ])
+
+(* ---- the low-memory fallback --------------------------------------------- *)
+
+(* [eval --max-mem N --degrade] switches the batch pipeline off and the pool
+   to one domain (bin/wdpt_cli.ml, admission_gate): the scalar twin must
+   then enumerate the default path's envs in the same order, so a degraded
+   [--limit] page prints the same answers as an undegraded one. *)
+let test_degrade_order () =
+  let db =
+    db_of_edges
+      (List.concat_map (fun i -> [ (i, (i * 3) mod 17); (i, (i + 5) mod 17) ])
+         (List.init 17 Fun.id))
+  in
+  let p =
+    match
+      Wdpt.Syntax.parse "free (x, z) { E(?x, ?y) } [ { E(?y, ?z), E(?z, ?x) } ]"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "parse: %s" e
+  in
+  let plan =
+    Engine.compile db [ e "x" "y"; e "y" "z"; e "z" "w" ] ~init:Mapping.empty
+  in
+  let page () =
+    let out = ref [] in
+    ignore
+      (Wdpt.Semantics.stream_eval db p ~offset:3 ~limit:(Some 10) (fun a ->
+           out := a :: !out));
+    List.rev !out
+  in
+  let run () = (envs_of plan, Wdpt.Semantics.maximal_homomorphisms db p, page ()) in
+  List.iter
+    (fun (nd, morsel) ->
+      let envs, homs, pg =
+        with_engine ~batched:true ~domains:nd ~min_rows:1 ~morsel run
+      in
+      let envs', homs', pg' = with_engine ~batched:false ~domains:1 run in
+      let tag s = Printf.sprintf "%s (default pool %d, morsel %d)" s nd morsel in
+      check_bool (tag "nonempty") true (envs <> [] && pg <> []);
+      check_bool (tag "same envs, same order") true (envs = envs');
+      check_bool (tag "same maximal homs, same order") true (homs = homs');
+      check_bool (tag "same answer page") true (pg = pg'))
+    [ (1, 1024); (1, 3); (2, 5) ]
 
 let suite =
   [ Alcotest.test_case "morsel-skew regression" `Quick test_morsel_skew;
@@ -230,6 +288,8 @@ let suite =
     Alcotest.test_case "morsel boundary inside OPT" `Quick test_opt_boundary;
     Alcotest.test_case "paging parity (batched stream)" `Quick
       test_paging_parity;
+    Alcotest.test_case "degraded run keeps the default order" `Quick
+      test_degrade_order;
     prop_batched_cq_agree;
     prop_batched_wdpt_agree;
     prop_batched_order_deterministic ]

@@ -4,7 +4,7 @@
    the batch_view draws exactly its E-code with the exact machine-checkable
    witness, measured batch_stats high-water marks stay within the certified
    envelope (and a shrunk envelope draws E021 per component), admission
-   verdicts, the schema-stable batch JSON under WDPT_ENGINE_BATCH=0, and
+   verdicts, the schema-stable batch JSON with the pipeline off, and
    paging across ragged-tail morsel-group boundaries. *)
 
 open Relational
@@ -15,7 +15,7 @@ module D = Analysis.Diagnostic
 module R = Analysis.Resource
 
 (* every test restores the ambient engine configuration, whatever happens
-   (the suite may itself run under WDPT_ENGINE_BATCH / _DOMAINS / _MORSEL /
+   (the suite may itself run under WDPT_ENGINE_DOMAINS / _MORSEL /
    _CHECKED) *)
 let with_engine ?batched ?checked ?domains ?min_rows ?morsel f =
   let b0 = Engine.batched_enabled () and c0 = Engine.checked_enabled () in
@@ -275,7 +275,7 @@ let resource_keys =
 let test_schema_stable () =
   let plan = compile_plan () in
   (* the batch JSON keeps its full schema — including the would-be stage
-     geometry — when the pipeline is disabled (WDPT_ENGINE_BATCH=0) *)
+     geometry — when the pipeline is disabled (Engine.set_batched false) *)
   List.iter
     (fun batched ->
       with_engine ~batched (fun () ->

@@ -290,6 +290,18 @@ let test_grid_and_chain_dbs () =
   let ch = Workload.Gen_db.chain_db ~rel:"E" ~length:5 in
   check_int "chain facts" 5 (Database.size ch)
 
+(* a facts file that uses one relation with two arities is rejected at load
+   time, naming both lines, instead of loading two unrelated relations *)
+let test_mixed_arity_data () =
+  (match Wdpt.Syntax.parse_database "E(a, b)\n# comment\nE(a, b, c)\n" with
+  | Ok _ -> Alcotest.fail "mixed arities loaded"
+  | Error e ->
+      Alcotest.(check string) "arity clash diagnostic"
+        "line 3: relation E has arity 3, but line 1 gave it arity 2" e);
+  match Wdpt.Syntax.parse_database "E(a, b)\nS(a)\nE(b, c)\n" with
+  | Ok db -> check_int "consistent arities load" 3 (Database.size db)
+  | Error e -> Alcotest.failf "consistent file rejected: %s" e
+
 let suite =
   [ Alcotest.test_case "terms and values" `Quick test_term_and_value;
     Alcotest.test_case "mapping extras" `Quick test_mapping_extras;
@@ -312,4 +324,5 @@ let suite =
     Alcotest.test_case "three-level max eval" `Quick test_max_eval_three_level;
     Alcotest.test_case "containment tooling" `Quick test_containment_tools;
     Alcotest.test_case "generator determinism" `Quick test_generators_deterministic;
-    Alcotest.test_case "grid/chain databases" `Quick test_grid_and_chain_dbs ]
+    Alcotest.test_case "grid/chain databases" `Quick test_grid_and_chain_dbs;
+    Alcotest.test_case "mixed-arity data file" `Quick test_mixed_arity_data ]

@@ -42,10 +42,9 @@ let with_config ?adapt ?threshold ?min_probed ?domains ?min_rows ?batched ()
 (* A skewed instance the static cost model underestimates. R's key 1 is hot
    (50 of 70 rows) while the per-key average is 70/21 < 4 rows, so the
    mid-pipeline stage R(1, ?y) — estimated 10^0.52 survivors per context —
-   actually yields 10^1.70, a drift of ~1.18 decades. The drift is only
-   observable under the batched pipeline (the scalar interpreter re-selects
-   atoms per node and routes around the hot key on its own), so the tests
-   that need it pin [batched:true]. Statically R orders before S and C;
+   actually yields 10^1.70, a drift of ~1.18 decades. The tests that need
+   it pin [batched:true] so their expected counts follow the batched
+   counter discipline. Statically R orders before S and C;
    once the calibration absorbs the drift the order inverts to S, C, R. *)
 let s_rows = 10
 let hot = 50
